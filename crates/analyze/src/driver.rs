@@ -98,17 +98,19 @@ pub fn analyze_harness(
     Ok(predict(bench.name(), machine, levels))
 }
 
-/// Analyzes a benchmark by name, sharing the process-wide harness (and
-/// its compile cache) with the rest of the laboratory.
+/// Analyzes a benchmark by name, sharing `orch`'s harness (and its
+/// compile cache) with the rest of the laboratory. Nothing is simulated,
+/// so `orch`'s measurement counters do not move.
 ///
 /// # Errors
 ///
 /// Returns a message for unknown benchmarks or failed links.
 pub fn analyze_benchmark(
+    orch: &Orchestrator,
     bench: &str,
     machine: &MachineConfig,
 ) -> Result<SensitivityReport, String> {
-    let harness = Orchestrator::global()
+    let harness = orch
         .harness(bench)
         .ok_or_else(|| format!("unknown benchmark `{bench}` — `biaslab list` shows the suite"))?;
     analyze_harness(&harness, machine)
@@ -120,10 +122,13 @@ pub fn analyze_benchmark(
 /// # Errors
 ///
 /// Returns the first analysis failure.
-pub fn rank_suite(machine: &MachineConfig) -> Result<Vec<SensitivityReport>, String> {
+pub fn rank_suite(
+    orch: &Orchestrator,
+    machine: &MachineConfig,
+) -> Result<Vec<SensitivityReport>, String> {
     let mut reports: Vec<SensitivityReport> = biaslab_workloads::suite()
         .iter()
-        .map(|b| analyze_benchmark(b.name(), machine))
+        .map(|b| analyze_benchmark(orch, b.name(), machine))
         .collect::<Result<_, _>>()?;
     reports.sort_by(|a, b| {
         b.predicted_spread
@@ -140,28 +145,29 @@ mod tests {
 
     #[test]
     fn analyzes_without_simulating() {
-        let before = Orchestrator::global().stats().simulated;
-        let r = analyze_benchmark("perlbench", &MachineConfig::core2()).expect("analyzes");
+        let orch = Orchestrator::new();
+        let r = analyze_benchmark(&orch, "perlbench", &MachineConfig::core2()).expect("analyzes");
         assert_eq!(r.bench, "perlbench");
         assert_eq!(r.machine, "core2");
         assert_eq!(r.levels.len(), 2);
         assert!(r.predicted_spread.is_finite() && r.predicted_spread >= 0.0);
         assert_eq!(
-            Orchestrator::global().stats().simulated,
-            before,
+            orch.stats().simulated,
+            0,
             "static analysis must not simulate"
         );
     }
 
     #[test]
     fn unknown_benchmark_is_an_error() {
-        let err = analyze_benchmark("nonesuch", &MachineConfig::core2()).unwrap_err();
+        let err = analyze_benchmark(&Orchestrator::new(), "nonesuch", &MachineConfig::core2())
+            .unwrap_err();
         assert!(err.contains("unknown benchmark"));
     }
 
     #[test]
     fn ranking_is_sorted_and_complete() {
-        let ranked = rank_suite(&MachineConfig::o3cpu()).expect("ranks");
+        let ranked = rank_suite(&Orchestrator::new(), &MachineConfig::o3cpu()).expect("ranks");
         assert_eq!(ranked.len(), biaslab_workloads::suite().len());
         for w in ranked.windows(2) {
             assert!(w[0].predicted_spread >= w[1].predicted_spread);

@@ -1003,13 +1003,18 @@ pub fn lint_harness(harness: &Harness, machine: &MachineConfig) -> Result<LintRe
     })
 }
 
-/// Lints a benchmark by name, sharing the process-wide harness cache.
+/// Lints a benchmark by name, sharing `orch`'s harness cache. Nothing is
+/// simulated, so `orch`'s measurement counters do not move.
 ///
 /// # Errors
 ///
 /// Returns a message for unknown benchmarks or failed links.
-pub fn lint_benchmark(bench: &str, machine: &MachineConfig) -> Result<LintReport, String> {
-    let harness = Orchestrator::global()
+pub fn lint_benchmark(
+    orch: &Orchestrator,
+    bench: &str,
+    machine: &MachineConfig,
+) -> Result<LintReport, String> {
+    let harness = orch
         .harness(bench)
         .ok_or_else(|| format!("unknown benchmark `{bench}` — `biaslab list` shows the suite"))?;
     lint_harness(&harness, machine)
@@ -1020,10 +1025,10 @@ pub fn lint_benchmark(bench: &str, machine: &MachineConfig) -> Result<LintReport
 /// # Errors
 ///
 /// Returns the first lint failure.
-pub fn lint_suite(machine: &MachineConfig) -> Result<Vec<LintReport>, String> {
+pub fn lint_suite(orch: &Orchestrator, machine: &MachineConfig) -> Result<Vec<LintReport>, String> {
     biaslab_workloads::suite()
         .iter()
-        .map(|b| lint_benchmark(b.name(), machine))
+        .map(|b| lint_benchmark(orch, b.name(), machine))
         .collect()
 }
 
@@ -1033,8 +1038,8 @@ pub fn lint_suite(machine: &MachineConfig) -> Result<Vec<LintReport>, String> {
 /// # Errors
 ///
 /// Returns the first lint failure.
-pub fn lint_suite_jsonl(machine: &MachineConfig) -> Result<String, String> {
-    Ok(lint_suite(machine)?
+pub fn lint_suite_jsonl(orch: &Orchestrator, machine: &MachineConfig) -> Result<String, String> {
+    Ok(lint_suite(orch, machine)?
         .iter()
         .map(LintReport::to_jsonl)
         .collect())
@@ -1046,8 +1051,8 @@ mod tests {
 
     #[test]
     fn lints_without_simulating() {
-        let before = Orchestrator::global().stats().simulated;
-        let r = lint_benchmark("perlbench", &MachineConfig::core2()).expect("lints");
+        let orch = Orchestrator::new();
+        let r = lint_benchmark(&orch, "perlbench", &MachineConfig::core2()).expect("lints");
         assert_eq!(r.bench, "perlbench");
         assert_eq!(r.machine, "core2");
         assert!(r.passes_run > 0, "lint must exercise the pass manager");
@@ -1062,17 +1067,14 @@ mod tests {
                 "findings sorted by severity"
             );
         }
-        assert_eq!(
-            Orchestrator::global().stats().simulated,
-            before,
-            "biaslint must not simulate"
-        );
+        assert_eq!(orch.stats().simulated, 0, "biaslint must not simulate");
     }
 
     #[test]
     fn telemetry_counters_are_exported() {
         let before = metrics().counter("analyze.lint.passes_run").get();
-        let r = lint_benchmark("milc", &MachineConfig::core2()).expect("lints");
+        let r =
+            lint_benchmark(&Orchestrator::new(), "milc", &MachineConfig::core2()).expect("lints");
         let after = metrics().counter("analyze.lint.passes_run").get();
         assert!(
             after - before >= r.passes_run,
@@ -1082,7 +1084,8 @@ mod tests {
 
     #[test]
     fn jsonl_lines_all_validate() {
-        let r = lint_benchmark("mcf", &MachineConfig::o3cpu()).expect("lints");
+        let r =
+            lint_benchmark(&Orchestrator::new(), "mcf", &MachineConfig::o3cpu()).expect("lints");
         let jsonl = r.to_jsonl();
         assert!(!jsonl.is_empty());
         for line in jsonl.lines() {
@@ -1127,7 +1130,8 @@ mod tests {
 
     #[test]
     fn report_renders_every_finding() {
-        let r = lint_benchmark("bzip2", &MachineConfig::core2()).expect("lints");
+        let r =
+            lint_benchmark(&Orchestrator::new(), "bzip2", &MachineConfig::core2()).expect("lints");
         let text = r.render();
         assert!(text.contains("biaslint: bzip2 on core2"));
         for f in &r.findings {
@@ -1137,7 +1141,8 @@ mod tests {
 
     #[test]
     fn suite_jsonl_is_schema_clean() {
-        let jsonl = lint_suite_jsonl(&MachineConfig::core2()).expect("suite lints");
+        let jsonl =
+            lint_suite_jsonl(&Orchestrator::new(), &MachineConfig::core2()).expect("suite lints");
         let mut headers = 0;
         for line in jsonl.lines() {
             validate_lint_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));

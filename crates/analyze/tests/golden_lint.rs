@@ -16,6 +16,7 @@
 use std::path::PathBuf;
 
 use biaslab_analyze::{lint_suite_jsonl, validate_lint_line};
+use biaslab_core::Orchestrator;
 use biaslab_uarch::MachineConfig;
 
 fn golden_path(machine: &str) -> PathBuf {
@@ -23,7 +24,7 @@ fn golden_path(machine: &str) -> PathBuf {
 }
 
 fn check(machine: &MachineConfig) {
-    let actual = lint_suite_jsonl(machine).expect("suite lints");
+    let actual = lint_suite_jsonl(Orchestrator::global(), machine).expect("suite lints");
     for line in actual.lines() {
         validate_lint_line(line).expect("golden stream is schema-clean");
     }

@@ -14,6 +14,7 @@
 use std::path::PathBuf;
 
 use biaslab_analyze::analyze_benchmark;
+use biaslab_core::Orchestrator;
 use biaslab_uarch::MachineConfig;
 
 fn golden_path(machine: &str) -> PathBuf {
@@ -21,7 +22,7 @@ fn golden_path(machine: &str) -> PathBuf {
 }
 
 fn check(bench: &str, machine: &MachineConfig) {
-    let report = analyze_benchmark(bench, machine).expect("analyzable");
+    let report = analyze_benchmark(Orchestrator::global(), bench, machine).expect("analyzable");
     let actual = report.explain() + "\n";
     let path = golden_path(&machine.name);
     if std::env::var_os("BIASLAB_BLESS").is_some() {

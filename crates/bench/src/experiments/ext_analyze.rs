@@ -72,11 +72,12 @@ pub(crate) fn ext_analyze(effort: Effort) -> String {
     );
     for machine in machines {
         // The static side's zero-simulation property is asserted by
-        // `tests/static_vs_dynamic.rs` and the CLI `analyze` test, both on
-        // serial orchestrators. It cannot be re-asserted here from global
-        // orchestrator stats: under `repro all --jobs N` other experiments
-        // simulate concurrently, so the counter moves for unrelated reasons.
-        let ranking = rank_suite(&machine).expect("suite analyzes");
+        // `tests/static_vs_dynamic.rs` (serially) and the CLI `analyze` test
+        // (on a private orchestrator). It cannot be re-asserted here from
+        // global orchestrator stats: under `repro all --jobs N` other
+        // experiments simulate concurrently, so the counter moves for
+        // unrelated reasons.
+        let ranking = rank_suite(Orchestrator::global(), &machine).expect("suite analyzes");
 
         let mut table = Table::new(vec!["rank", "benchmark", "predicted", "measured-spread"]);
         let (mut predicted, mut measured) = (Vec::new(), Vec::new());

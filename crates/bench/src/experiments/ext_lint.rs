@@ -213,7 +213,7 @@ pub(crate) fn ext_lint(effort: Effort) -> String {
         let mut tally: Tally = BTreeMap::new();
         let mut examples: Vec<String> = Vec::new();
         for bench in biaslab_workloads::suite() {
-            let report = lint_benchmark(bench.name(), &machine).expect("suite lints");
+            let report = lint_benchmark(orch, bench.name(), &machine).expect("suite lints");
             let harness = orch.harness(bench.name()).expect("suite benchmark");
             let mut base_cache: BTreeMap<&'static str, Counters> = BTreeMap::new();
             for finding in &report.findings {

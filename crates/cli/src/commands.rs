@@ -13,31 +13,32 @@ use biaslab_core::serve;
 
 use crate::args::{parse_machine, ClientArgs, Command, RunArgs};
 
-/// Executes a parsed command.
-pub fn run(cmd: Command) -> Result<(), String> {
+/// Executes a parsed command. Commands that measure, or share harnesses
+/// and their compile caches, do so through `orch`.
+pub fn run(cmd: Command, orch: &Orchestrator) -> Result<(), String> {
     match cmd {
         Command::List => list(),
         Command::Machines => machines(),
         Command::Survey => survey(),
-        Command::Run(args) => run_bench(&args),
-        Command::Disasm { bench, opt } => disasm(&bench, opt),
+        Command::Run(args) => run_bench(orch, &args),
+        Command::Disasm { bench, opt } => disasm(orch, &bench, opt),
         Command::Ir { bench, opt } => print_ir(&bench, opt),
         Command::Audit {
             bench,
             machine,
             size,
-        } => audit(&bench, &machine, size),
+        } => audit(orch, &bench, &machine, size),
         Command::Analyze {
             bench,
             machine,
             explain,
-        } => analyze(&bench, &machine, explain),
+        } => analyze(orch, &bench, &machine, explain),
         Command::Lint {
             bench,
             machine,
             json,
             deny,
-        } => lint(&bench, &machine, json, deny.as_deref()),
+        } => lint(orch, &bench, &machine, json, deny.as_deref()),
         Command::Trace { file, flame } => trace(&file, flame),
         Command::Serve {
             addr,
@@ -182,14 +183,13 @@ fn lookup(bench: &str) -> Result<biaslab_workloads::Benchmark, String> {
 
 /// The orchestrator-registry harness for a benchmark, so repeated CLI
 /// invocations within one process (and the audit sweeps) share caches.
-fn shared_harness(bench: &str) -> Result<std::sync::Arc<Harness>, String> {
-    Orchestrator::global()
-        .harness(bench)
+fn shared_harness(orch: &Orchestrator, bench: &str) -> Result<std::sync::Arc<Harness>, String> {
+    orch.harness(bench)
         .ok_or_else(|| format!("unknown benchmark `{bench}` — `biaslab list` shows the suite"))
 }
 
-fn run_bench(args: &RunArgs) -> Result<(), String> {
-    let harness = shared_harness(&args.bench)?;
+fn run_bench(orch: &Orchestrator, args: &RunArgs) -> Result<(), String> {
+    let harness = shared_harness(orch, &args.bench)?;
     let machine_config = parse_machine(&args.machine)?;
     let mut setup = ExperimentSetup::default_on(machine_config.clone(), args.opt);
     setup.link_order = args.order;
@@ -229,7 +229,7 @@ fn run_bench(args: &RunArgs) -> Result<(), String> {
         println!("{}\n", result.counters);
         println!("{profile}");
     } else {
-        let m = Orchestrator::global()
+        let m = orch
             .measure(&harness, &setup, args.size)
             .map_err(|e| e.to_string())?;
         println!(
@@ -241,8 +241,8 @@ fn run_bench(args: &RunArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn disasm(bench: &str, opt: OptLevel) -> Result<(), String> {
-    let harness = shared_harness(bench)?;
+fn disasm(orch: &Orchestrator, bench: &str, opt: OptLevel) -> Result<(), String> {
+    let harness = shared_harness(orch, bench)?;
     let names = harness.object_names();
     let order: Vec<usize> = (0..names.len()).collect();
     let exe = harness
@@ -259,8 +259,8 @@ fn print_ir(bench: &str, opt: OptLevel) -> Result<(), String> {
     Ok(())
 }
 
-fn audit(bench: &str, machine: &str, size: InputSize) -> Result<(), String> {
-    let harness = shared_harness(bench)?;
+fn audit(orch: &Orchestrator, bench: &str, machine: &str, size: InputSize) -> Result<(), String> {
+    let harness = shared_harness(orch, bench)?;
     let machine_config = parse_machine(machine)?;
     let config = biaslab_core::audit::AuditConfig {
         machines: vec![machine_config],
@@ -284,10 +284,10 @@ fn trace(file: &str, flame: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn analyze(bench: &str, machine: &str, explain: bool) -> Result<(), String> {
+fn analyze(orch: &Orchestrator, bench: &str, machine: &str, explain: bool) -> Result<(), String> {
     let machine_config = parse_machine(machine)?;
     if bench == "all" {
-        let ranked = biaslab_analyze::rank_suite(&machine_config)?;
+        let ranked = biaslab_analyze::rank_suite(orch, &machine_config)?;
         let mut table = Table::new(vec!["rank", "benchmark", "predicted-spread", "top factor"]);
         for (i, r) in ranked.iter().enumerate() {
             let top = r
@@ -309,7 +309,7 @@ fn analyze(bench: &str, machine: &str, explain: bool) -> Result<(), String> {
         println!("{table}");
         return Ok(());
     }
-    let report = biaslab_analyze::analyze_benchmark(bench, &machine_config)?;
+    let report = biaslab_analyze::analyze_benchmark(orch, bench, &machine_config)?;
     if explain {
         println!("{}", report.explain());
     } else {
@@ -318,12 +318,22 @@ fn analyze(bench: &str, machine: &str, explain: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn lint(bench: &str, machine: &str, json: bool, deny: Option<&str>) -> Result<(), String> {
+fn lint(
+    orch: &Orchestrator,
+    bench: &str,
+    machine: &str,
+    json: bool,
+    deny: Option<&str>,
+) -> Result<(), String> {
     let machine_config = parse_machine(machine)?;
     let reports = if bench == "all" {
-        biaslab_analyze::lint_suite(&machine_config)?
+        biaslab_analyze::lint_suite(orch, &machine_config)?
     } else {
-        vec![biaslab_analyze::lint_benchmark(bench, &machine_config)?]
+        vec![biaslab_analyze::lint_benchmark(
+            orch,
+            bench,
+            &machine_config,
+        )?]
     };
     for (i, report) in reports.iter().enumerate() {
         if json {
@@ -365,47 +375,74 @@ mod tests {
     #[test]
     fn informational_commands_succeed() {
         for cmd in ["list", "machines", "survey"] {
-            run(parse(&argv(cmd)).unwrap()).unwrap_or_else(|e| panic!("{cmd}: {e}"));
+            run(parse(&argv(cmd)).unwrap(), &Orchestrator::new())
+                .unwrap_or_else(|e| panic!("{cmd}: {e}"));
         }
     }
 
     #[test]
     fn run_command_measures_and_verifies() {
-        run(parse(&argv("run hmmer --opt O2 --machine o3cpu --env 100")).unwrap()).unwrap();
+        run(
+            parse(&argv("run hmmer --opt O2 --machine o3cpu --env 100")).unwrap(),
+            &Orchestrator::new(),
+        )
+        .unwrap();
     }
 
     #[test]
     fn run_with_profile_succeeds() {
-        run(parse(&argv("run milc --profile")).unwrap()).unwrap();
+        run(
+            parse(&argv("run milc --profile")).unwrap(),
+            &Orchestrator::new(),
+        )
+        .unwrap();
     }
 
     #[test]
     fn disasm_and_ir_succeed() {
-        run(parse(&argv("disasm gobmk --opt O1")).unwrap()).unwrap();
-        run(parse(&argv("ir gobmk --opt O3")).unwrap()).unwrap();
+        run(
+            parse(&argv("disasm gobmk --opt O1")).unwrap(),
+            &Orchestrator::new(),
+        )
+        .unwrap();
+        run(
+            parse(&argv("ir gobmk --opt O3")).unwrap(),
+            &Orchestrator::new(),
+        )
+        .unwrap();
     }
 
     #[test]
     fn analyze_succeeds_without_simulating() {
-        let before = Orchestrator::global().stats().simulated;
-        run(parse(&argv("analyze perlbench --machine o3cpu")).unwrap()).unwrap();
-        run(parse(&argv("analyze mcf --explain")).unwrap()).unwrap();
-        run(parse(&argv("analyze all --machine pentium4")).unwrap()).unwrap();
+        // A private orchestrator: sibling tests simulate concurrently, so
+        // only counters no other test can reach prove anything.
+        let orch = Orchestrator::new();
+        for cmd in [
+            "analyze perlbench --machine o3cpu",
+            "analyze mcf --explain",
+            "analyze all --machine pentium4",
+        ] {
+            run(parse(&argv(cmd)).unwrap(), &orch).unwrap_or_else(|e| panic!("{cmd}: {e}"));
+        }
         assert_eq!(
-            Orchestrator::global().stats().simulated,
-            before,
+            orch.stats().simulated,
+            0,
             "analyze must not invoke the simulator"
         );
     }
 
     #[test]
     fn lint_succeeds_without_simulating() {
-        let before = Orchestrator::global().stats().simulated;
-        run(parse(&argv("lint perlbench --machine pentium4")).unwrap()).unwrap();
-        run(parse(&argv("lint libquantum --json")).unwrap()).unwrap();
+        let orch = Orchestrator::new();
+        for cmd in [
+            "lint perlbench --machine pentium4",
+            "lint libquantum --json",
+        ] {
+            run(parse(&argv(cmd)).unwrap(), &orch).unwrap_or_else(|e| panic!("{cmd}: {e}"));
+        }
         assert_eq!(
-            Orchestrator::global().stats().simulated,
-            before,
+            orch.stats().simulated,
+            0,
             "lint must not invoke the simulator"
         );
     }
@@ -414,16 +451,23 @@ mod tests {
     fn lint_deny_gates_on_present_class() {
         // libquantum on core2 reports loop-fetch-straddle findings;
         // denying an absent class passes, denying a present one fails.
-        run(parse(&argv("lint libquantum --deny uninit-read")).unwrap()).unwrap();
-        let err =
-            run(parse(&argv("lint libquantum --deny loop-fetch-straddle")).unwrap()).unwrap_err();
+        run(
+            parse(&argv("lint libquantum --deny uninit-read")).unwrap(),
+            &Orchestrator::new(),
+        )
+        .unwrap();
+        let err = run(
+            parse(&argv("lint libquantum --deny loop-fetch-straddle")).unwrap(),
+            &Orchestrator::new(),
+        )
+        .unwrap_err();
         assert!(err.contains("--deny loop-fetch-straddle"));
         assert!(err.contains("libquantum"));
     }
 
     #[test]
     fn unknown_benchmark_is_a_clean_error() {
-        let err = run(parse(&argv("run nonesuch")).unwrap()).unwrap_err();
+        let err = run(parse(&argv("run nonesuch")).unwrap(), &Orchestrator::new()).unwrap_err();
         assert!(err.contains("nonesuch"));
         assert!(err.contains("biaslab list"));
     }
@@ -460,21 +504,28 @@ mod tests {
             std::env::temp_dir().join(format!("biaslab-trace-cmd-{}.jsonl", std::process::id()));
         std::fs::write(&path, text).unwrap();
         let file = path.to_str().unwrap().to_owned();
-        run(Command::Trace {
-            file: file.clone(),
-            flame: false,
-        })
+        let orch = Orchestrator::new();
+        run(
+            Command::Trace {
+                file: file.clone(),
+                flame: false,
+            },
+            &orch,
+        )
         .unwrap();
-        run(Command::Trace { file, flame: true }).unwrap();
+        run(Command::Trace { file, flame: true }, &orch).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn trace_on_a_missing_file_is_a_clean_error() {
-        let err = run(Command::Trace {
-            file: "results/traces/nonesuch.jsonl".into(),
-            flame: false,
-        })
+        let err = run(
+            Command::Trace {
+                file: "results/traces/nonesuch.jsonl".into(),
+                flame: false,
+            },
+            &Orchestrator::new(),
+        )
         .unwrap_err();
         assert!(err.contains("nonesuch.jsonl"));
         assert!(err.contains("could not read"));

@@ -24,7 +24,7 @@ fn main() -> ExitCode {
     }
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match args::parse(&argv) {
-        Ok(cmd) => match commands::run(cmd) {
+        Ok(cmd) => match commands::run(cmd, biaslab_core::Orchestrator::global()) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");

@@ -45,7 +45,7 @@
 //! never go through the cache: their later repetitions depend on machine
 //! state, not just the setup.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 use biaslab_toolchain::load::Environment;
 use biaslab_toolchain::OptLevel;
 use biaslab_uarch::{Counters, MachineConfig, RunError};
-use biaslab_workloads::{benchmark_by_name, InputSize};
+use biaslab_workloads::{benchmark_by_name, suite, Benchmark, InputSize};
 use parking_lot::Mutex;
 
 use crate::faults::{self, site};
@@ -748,10 +748,42 @@ impl Orchestrator {
         r
     }
 
+    /// The cached result for `bench` under `setup` at `size`, or `None`
+    /// when the key is not cached. Keyed on the benchmark name, so it
+    /// builds no [`Harness`]: an unknown name is simply a miss.
+    ///
+    /// A hit counts one `orch.hits` and, when tracing, emits the same
+    /// `measure` span (outcome `hit`) that [`Orchestrator::measure`]
+    /// emits; a miss counts nothing, so a caller that falls back to
+    /// [`Orchestrator::measure_deadline`] is accounted exactly once. It
+    /// reads one cache shard and never takes the `inflight` lock: a key
+    /// being simulated right now is a miss here and a single-flight wait
+    /// in `measure`.
+    #[must_use]
+    pub fn lookup(
+        &self,
+        bench: &str,
+        setup: &ExperimentSetup,
+        size: InputSize,
+    ) -> Option<Result<Measurement, MeasureError>> {
+        let key = MeasureKey::new(bench, setup, size);
+        let r = self.cache.get(&key)?;
+        let span = telemetry::enabled().then(|| {
+            telemetry::Span::open("measure", &key.bench)
+                .with_key(key.digest())
+                .with_outcome(CacheOutcome::Hit)
+        });
+        self.note(CacheOutcome::Hit, &key);
+        if let Some(span) = span {
+            span.close();
+        }
+        Some(r)
+    }
+
     /// The single-flight measurement protocol behind
     /// [`Orchestrator::measure`]. Lock order is inflight → cache shard →
-    /// cache meta; [`Orchestrator::sweep`] takes cache locks alone, so
-    /// the order is acyclic.
+    /// cache meta; [`Orchestrator::sweep`] and [`Orchestrator::lookup`]
+    /// take cache locks alone, so the order is acyclic.
     ///
     /// The protocol is a loop because a leader can die: a waiter woken on
     /// an `Abandoned` cell goes around again and — finding neither a
@@ -1255,9 +1287,11 @@ impl Orchestrator {
         let mut pruned = 0u64;
         let mut quarantined = 0u64;
         let mut evicted = Vec::new();
+        // Built once: each `suite()` call constructs every kernel's IR.
+        let known: HashSet<&str> = suite().iter().map(Benchmark::name).collect();
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
             match parse_record(line) {
-                RecordVerdict::Ok(key, _) if benchmark_by_name(&key.bench).is_none() => {
+                RecordVerdict::Ok(key, _) if !known.contains(key.bench.as_str()) => {
                     pruned += 1;
                 }
                 RecordVerdict::Ok(key, m) => {

@@ -2,12 +2,14 @@
 //! protocol, the one-shot client, and the `loadgen` load driver.
 //!
 //! The serving layer is a thin, heavily validated shell around the
-//! single-flight [`Orchestrator`]: a request is parsed off the socket,
-//! admitted into a bounded queue (or shed with an explicit backpressure
-//! response — never a hang), executed by a worker-pool thread against the
-//! shared orchestrator, and answered with the exact bytes the in-process
-//! path would have produced. That byte-identity is the contract the
-//! differential test battery pins.
+//! single-flight [`Orchestrator`]: a request is parsed off the socket by
+//! its connection's reader thread. Control requests and `measure`s whose
+//! key is already cached are answered right there; work that simulates
+//! (cache misses, sweeps) is admitted into a bounded queue (or shed with
+//! an explicit backpressure response — never a hang) and executed by a
+//! worker-pool thread against the shared orchestrator. Either way the
+//! answer is the exact bytes the in-process path would have produced.
+//! That byte-identity is the contract the differential test battery pins.
 //!
 //! Wire format: one JSON object per line, `PROTO_VERSION` in every line.
 //! Requests carry `"ev":"req"`; responses are `"resp"` (terminal),
@@ -22,15 +24,16 @@
 //! client observing at worst a typed error or a torn / truncated line; it
 //! reconnects with seeded jittered backoff and retries the whole exchange,
 //! and the orchestrator's caches make the retry cheap and the response
-//! identical. Inside the daemon a supervision layer holds the same line:
-//! every pool job runs under `catch_unwind`, a panicked worker answers its
-//! client with a typed `panic` error and is respawned under a capped,
-//! seeded-jitter restart budget (`serve.worker.{panic,respawn}`, surfaced
-//! as the `health` field of `stats`); requests may carry a `deadline_ms`
-//! enforced at every control point (admission wait, single-flight wait)
-//! as a typed `deadline` response; SIGTERM / `shutdown {"mode":"drain"}`
-//! finishes in-flight work before stopping; and sweeps write a crc-sealed
-//! journal so a daemon killed mid-sweep resumes instead of re-simulating.
+//! identical. Inside the daemon a supervision layer holds the same line
+//! for pooled work: every pool job runs under `catch_unwind`, a panicked
+//! worker answers its client with a typed `panic` error and is respawned
+//! under a capped, seeded-jitter restart budget
+//! (`serve.worker.{panic,respawn}`, surfaced as the `health` field of
+//! `stats`); requests may carry a `deadline_ms` enforced at every control
+//! point (admission wait, single-flight wait) as a typed `deadline`
+//! response; SIGTERM / `shutdown {"mode":"drain"}` finishes in-flight
+//! work before stopping; and sweeps write a crc-sealed journal so a
+//! daemon killed mid-sweep resumes instead of re-simulating.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -1137,8 +1140,9 @@ impl ServeCounters {
 }
 
 /// The write half of one client connection, shared between the reader
-/// thread (inline control responses, sheds) and the worker pool. The two
-/// socket-write fault sites live here so every response path is covered.
+/// thread (inline control responses, cache hits, sheds) and the worker
+/// pool. The two socket-write fault sites live here so every response
+/// path is covered.
 struct ConnOut {
     stream: StdMutex<Option<Stream>>,
 }
@@ -1246,8 +1250,9 @@ impl Shared {
 }
 
 /// A running daemon. Threads: one acceptor, one supervisor (respawning
-/// panicked workers), one reader per connection, `workers` pool threads
-/// draining the bounded admission queue.
+/// panicked workers), one reader per connection (answering control
+/// requests and cache hits itself), `workers` pool threads draining the
+/// bounded admission queue.
 pub struct Server {
     shared: Arc<Shared>,
     acceptor: StdMutex<Option<thread::JoinHandle<()>>>,
@@ -1625,6 +1630,19 @@ fn reader_loop(shared: &Arc<Shared>, conn: Stream) {
                     shared.c.drain_refused.add(1);
                     out.send(shared, &encode_draining(id));
                     continue;
+                }
+                // A cache hit needs no simulation capacity: answer it here,
+                // like a control request. Misses, unknown names and sweeps
+                // go to the pool, which does its own accounting.
+                if let Request::Measure { spec, .. } = &req {
+                    if let Some(r) = spec
+                        .setup()
+                        .and_then(|setup| shared.orch.lookup(&spec.bench, &setup, spec.size))
+                    {
+                        shared.c.measures.add(1);
+                        out.send(shared, &encode_response(id, &r));
+                        continue;
+                    }
                 }
                 let deadline_ms = match &req {
                     Request::Measure { deadline_ms, .. } | Request::Sweep { deadline_ms, .. } => {
@@ -2843,6 +2861,84 @@ mod tests {
         server.shutdown();
     }
 
+    /// Polls `cond` until it holds; panics after 10 s.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn cache_hit_is_answered_while_the_pool_is_saturated() {
+        let addr = temp_sock("hit-unshed");
+        let mut cfg = ServerConfig::new(addr.clone());
+        cfg.workers = 1;
+        cfg.queue_depth = 1;
+        let server = Server::start(&cfg, Arc::new(Orchestrator::default())).expect("server starts");
+        let warm = encode_measure(700, &spec("hmmer"));
+        let mut client = Client::new(addr.clone());
+        let first = client.request(&warm).expect("warm-up answered");
+        assert_eq!(line_status(first.terminal()), Some("ok"));
+        // The worker answers before it counts the job done.
+        wait_until("the warm-up job to retire", || {
+            server.shared.inflight.load(Ordering::SeqCst) == 0
+        });
+
+        // Occupy the only worker with a wide cold sweep (ref inputs keep
+        // it busy for a good fraction of a second)...
+        let mut busy = Client::new(addr);
+        let (reader, writer) = busy.connected().expect("connect");
+        let envs: Vec<u64> = (0..16).map(|i| 64 + i * 64).collect();
+        let mut wide = spec("gcc");
+        wide.size = InputSize::Ref;
+        let sweep_line = encode_sweep(701, &wide, &envs);
+        writer
+            .write_all(format!("{sweep_line}\n").as_bytes())
+            .expect("send sweep");
+        wait_until("the worker to take the sweep", || {
+            server.shared.inflight.load(Ordering::SeqCst) == 1
+        });
+        // ...and fill the admission queue behind it with a cold measure.
+        let mut cold = spec("hmmer");
+        cold.text_offset = 8;
+        writer
+            .write_all(format!("{}\n", encode_measure(702, &cold)).as_bytes())
+            .expect("send cold measure");
+        wait_until("the cold measure to queue", || server.queue_len() == 1);
+
+        // A pooled request would be shed now; the cached key is answered.
+        let again = client.request(&warm).expect("hit answered");
+        assert_eq!(
+            again.terminal(),
+            first.terminal(),
+            "a hit gets its first response's bytes, never a shed"
+        );
+
+        // The saturating work still completes: the sweep's terminal, then
+        // the queued cold measure's.
+        let mut terminals = Vec::new();
+        while terminals.len() < 2 {
+            let mut buf = String::new();
+            let n = reader.read_line(&mut buf).expect("read response");
+            assert!(n > 0, "server closed before all responses arrived");
+            let line = buf.trim_end();
+            assert!(verify_sealed(line), "torn response: {line}");
+            if line_ev(line) == Some("resp") {
+                terminals.push((line_id(line), line_status(line).map(str::to_owned)));
+            }
+        }
+        assert_eq!(
+            terminals,
+            [
+                (Some(701), Some("ok".to_owned())),
+                (Some(702), Some("ok".to_owned()))
+            ]
+        );
+        server.shutdown();
+    }
+
     #[test]
     fn stop_is_idempotent_and_safe_under_races() {
         let addr = temp_sock("stop-twice");
@@ -2873,6 +2969,11 @@ mod tests {
         )
         .expect("server starts");
         let mut client = Client::new(addr);
+        // Warm the key first: a draining daemon refuses cache hits too.
+        let warm = client
+            .request(&encode_measure(0, &spec("hmmer")))
+            .expect("warm-up answered");
+        assert_eq!(line_status(warm.terminal()), Some("ok"));
         client
             .request(&encode_shutdown(1, true))
             .expect("drain acknowledged");

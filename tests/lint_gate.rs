@@ -23,19 +23,19 @@ fn machines() -> [MachineConfig; 3] {
 
 #[test]
 fn lint_runs_zero_simulations() {
-    let orch = Orchestrator::global();
-    let before = orch.stats().simulated;
+    // A private orchestrator: no other test can move its counters.
+    let orch = Orchestrator::new();
     for machine in machines() {
-        let reports = lint_suite(&machine).expect("suite lints");
+        let reports = lint_suite(&orch, &machine).expect("suite lints");
         assert!(
             !reports.is_empty(),
             "lint_suite returned no reports on {}",
             machine.name
         );
     }
-    let after = orch.stats().simulated;
     assert_eq!(
-        before, after,
+        orch.stats().simulated,
+        0,
         "lint is a static analysis; it must not trigger simulation"
     );
 }
@@ -43,7 +43,7 @@ fn lint_runs_zero_simulations() {
 #[test]
 fn lint_jsonl_is_schema_clean_and_classes_are_known() {
     for machine in machines() {
-        let stream = lint_suite_jsonl(&machine).expect("suite lints");
+        let stream = lint_suite_jsonl(Orchestrator::global(), &machine).expect("suite lints");
         let mut findings = 0usize;
         for line in stream.lines() {
             validate_lint_line(line)

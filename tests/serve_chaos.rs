@@ -203,6 +203,11 @@ fn one_shot_trigger_replays_exactly() {
 /// supervisor, every victim client gets exactly one typed `panic`
 /// terminal (no lost or duplicated responses, no failed exchanges), the
 /// respawn counter moves, and health returns to `ok` at full strength.
+///
+/// The panic site fires only on pooled work, and the daemon answers
+/// cache hits on the reader thread, so every request here carries a key
+/// of its own (the pool's specs at a per-client, per-round text offset):
+/// all of them are cold and go through the worker pool.
 #[test]
 fn worker_panic_schedule_shrinks_then_recovers_the_pool() {
     let _guard = faults::scoped(&spec("seed=1"));
@@ -214,44 +219,39 @@ fn worker_panic_schedule_shrinks_then_recovers_the_pool() {
     cfg.restart_seed = 606;
     let server = Server::start(&cfg, Arc::new(Orchestrator::default())).expect("server starts");
 
-    let direct = Orchestrator::default();
-    let pool = pool();
-    let expected: Vec<String> = pool
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let harness = direct.harness(&s.bench).expect("known benchmark");
-            let result = direct.measure(&harness, &s.setup().expect("known machine"), s.size);
-            encode_response(i as u64, &result)
-        })
-        .collect();
-
     const CLIENTS: usize = 4;
     const ROUNDS: usize = 4;
+    let direct = Orchestrator::default();
     let panics: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let addr = addr.clone();
-                let pool = &pool;
-                let expected = &expected;
+                let direct = &direct;
                 scope.spawn(move || {
                     let mut client = Client::new(addr).with_backoff_seed(c as u64);
                     let mut panics = 0u64;
-                    for _ in 0..ROUNDS {
-                        for (i, s) in pool.iter().enumerate() {
+                    for r in 0..ROUNDS {
+                        for (i, mut s) in pool().into_iter().enumerate() {
+                            s.text_offset = (16 * (1 + c * ROUNDS + r)) as u32;
                             let ex = client
-                                .request(&encode_measure(i as u64, s))
+                                .request(&encode_measure(i as u64, &s))
                                 .expect("every exchange ends in a terminal, never a failure");
                             for line in &ex.lines {
                                 validate_response_line(line)
                                     .expect("sealed, schema-valid lines under worker panics");
                             }
                             match serve::line_status(ex.terminal()) {
-                                Some("ok") => assert_eq!(
-                                    ex.terminal(),
-                                    expected[i],
-                                    "ok responses stay byte-identical under panics"
-                                ),
+                                Some("ok") => {
+                                    let harness =
+                                        direct.harness(&s.bench).expect("known benchmark");
+                                    let setup = s.setup().expect("known machine");
+                                    let result = direct.measure(&harness, &setup, s.size);
+                                    assert_eq!(
+                                        ex.terminal(),
+                                        encode_response(i as u64, &result),
+                                        "ok responses stay byte-identical under panics"
+                                    );
+                                }
                                 Some("err") => {
                                     assert!(
                                         ex.terminal().contains("\"code\":\"panic\""),
@@ -276,7 +276,7 @@ fn worker_panic_schedule_shrinks_then_recovers_the_pool() {
     assert!(
         panics >= 1,
         "the 8% panic schedule never fired over {} requests",
-        CLIENTS * ROUNDS * pool.len()
+        CLIENTS * ROUNDS * pool().len()
     );
 
     // The supervisor must restore the pool to configured strength and

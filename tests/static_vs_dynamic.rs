@@ -62,7 +62,7 @@ fn static_ranking_correlates_with_measured_spread() {
         // The static side first, bracketed by simulation counters: the
         // analyzer must not execute a single instruction.
         let before = orch.stats().simulated;
-        let ranking = rank_suite(&machine).expect("whole suite analyzes");
+        let ranking = rank_suite(orch, &machine).expect("whole suite analyzes");
         assert_eq!(
             orch.stats().simulated,
             before,
